@@ -92,11 +92,11 @@ class StoreNamespace:
         """
         return self.store.load_pairset(self.namespaced(key))
 
-    def land_result(self, key, result, **kwargs):
+    def land_result(self, key, result):
         """Upgrade-only landing of a floor in the tenant's key space."""
-        return self.store.land_result(self.namespaced(key), result, **kwargs)
+        return self.store.land_result(self.namespaced(key), result)
 
-    def publish_floor(self, key, result, delta=None, **kwargs):
+    def publish_floor(self, key, result, delta=None):
         """Land a floor in the tenant's slice of the versioned lineage.
 
         The delta's fingerprints are the tenant's un-namespaced ones and
@@ -104,8 +104,7 @@ class StoreNamespace:
         costs the delta-encoding optimisation, never correctness
         (publish_floor falls back to a full floor entry).
         """
-        return self.store.publish_floor(self.namespaced(key), result,
-                                        None, **kwargs)
+        return self.store.publish_floor(self.namespaced(key), result, None)
 
     def publish_generation(self, fingerprint, *, parent, n_rows,
                            parent_rows=None):

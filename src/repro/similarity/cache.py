@@ -202,18 +202,15 @@ class CachedApssEngine:
 
     def _lookup_floor(self, key: tuple, threshold: float, install: bool = True,
                       accept_approximate: bool = False,
-                      ) -> tuple[EngineResult | None, str, EngineResult | None]:
+                      ) -> tuple[EngineResult | None, str]:
         """A floor result at or below *threshold*, from memory or the store.
 
         The single home of the floor-acceptance rule: a candidate floor
         must be at or below *threshold* **and** pass the exactness
         discipline of :meth:`_accepts` (overridable with
         *accept_approximate*, the tiered engine's peek mode).  Returns
-        ``(floor, source, stored)`` where *source* is ``"memory"``,
-        ``"store"``, ``"snapshot"`` or ``"none"`` and *stored* is whatever
-        the store lookup returned (``None`` when it missed or was never
-        consulted) — callers thread it into :meth:`_persist` so the entry
-        is not re-read.
+        ``(floor, source)`` where *source* is ``"memory"``, ``"store"``,
+        ``"snapshot"`` or ``"none"``.
 
         With a snapshot attached, the pinned manifest is the *only*
         persistent source consulted: falling back to the live store would
@@ -223,24 +220,23 @@ class CachedApssEngine:
             return floor.threshold <= threshold and (
                 accept_approximate or self._accepts(key, floor))
 
-        stored = None
         cached = self._cache.get(key)
         if cached is not None and acceptable(cached):
-            return cached, "memory", stored
+            return cached, "memory"
         if self.snapshot is not None:
             pinned = self.snapshot.load_result(key)
             if pinned is not None and acceptable(pinned):
                 if install and self._accepts(key, pinned):
                     self._install(key, pinned)
-                return pinned, "snapshot", pinned
-            return None, "none", pinned
+                return pinned, "snapshot"
+            return None, "none"
         if self.store is not None:
             stored = self.store.load_result(key)
             if stored is not None and acceptable(stored):
                 if install and self._accepts(key, stored):
                     self._install(key, stored)
-                return stored, "store", stored
-        return None, "none", stored
+                return stored, "store"
+        return None, "none"
 
     def peek(self, dataset: VectorDataset, threshold: float,
              measure: str = "cosine", backend: str | None = None, *,
@@ -258,7 +254,7 @@ class CachedApssEngine:
         """
         threshold = float(threshold)
         key = self._key(dataset.fingerprint(), measure, backend, options)
-        floor, source, _ = self._lookup_floor(
+        floor, source = self._lookup_floor(
             key, threshold, accept_approximate=accept_approximate)
         if floor is None:
             return None
@@ -287,7 +283,7 @@ class CachedApssEngine:
             return None
         parent_key = self._key(delta.parent_fingerprint, measure, backend,
                                options)
-        parent, _, _ = self._lookup_floor(parent_key, threshold, install=False)
+        parent, _ = self._lookup_floor(parent_key, threshold, install=False)
         if parent is None or parent.n_rows != delta.parent_rows:
             return None
         # The key fingerprint equals the dataset's content hash (computed by
@@ -330,7 +326,7 @@ class CachedApssEngine:
         """
         threshold = float(threshold)
         key = self._key(dataset.fingerprint(), measure, backend, options)
-        floor, source, stored = self._lookup_floor(key, threshold)
+        floor, source = self._lookup_floor(key, threshold)
         if floor is not None:
             if source == "memory":
                 self.hits += 1
@@ -344,42 +340,35 @@ class CachedApssEngine:
                                           backend, options, key)
         if extended is not None:
             self._install(key, extended)
-            self._persist(key, extended, stored, dataset)
+            self._persist(key, extended, dataset)
             return self._serve(extended, threshold, measure, "delta")
         result = self.engine.search(dataset, threshold, measure,
                                     backend=backend, **options)
         self._install(key, result)
-        self._persist(key, result, stored, dataset)
+        self._persist(key, result, dataset)
         return result
 
     def _persist(self, key: tuple, result: EngineResult,
-                 existing: EngineResult | None,
                  dataset: VectorDataset | None = None) -> None:
         """Spill a floor result to the store unless a looser floor is held.
 
-        *existing* is what this search's store lookup already returned for
-        *key* (``None`` on a store miss) — threading it through avoids
-        re-reading and re-materialising the entry just to compare floors.
-        With a snapshot attached, *existing* came from the pinned manifest
-        and may be stale, so the *live* floor is re-read before comparing,
-        and the result is published to the versioned lineage (carrying the
-        dataset's append delta, when present) instead of merely spilled.
-
-        Either way the write goes through the store's upgrade-only landing
-        rule (:meth:`SimilarityStore.land_result`): an exact result
-        replaces an estimate parked under the same key regardless of
-        threshold, an estimate never replaces an exact floor, and a
-        same-flavour write needs a strictly looser threshold.
+        With a snapshot attached the result is published to the versioned
+        lineage (carrying the dataset's append delta, when present)
+        instead of merely spilled.  Either way the write goes through the
+        store's upgrade-only landing rule
+        (:meth:`SimilarityStore.land_result`), decided against the *live*
+        entry's header: an exact result replaces an estimate parked under
+        the same key regardless of threshold, an estimate never replaces
+        an exact floor, and a same-flavour write needs a strictly looser
+        threshold.
         """
         if self.store is None:
             return
         if self.snapshot is not None:
-            existing = self.store.load_result(key)
             self.store.publish_floor(
-                key, result, delta=getattr(dataset, "parent_delta", None),
-                existing=existing)
+                key, result, delta=getattr(dataset, "parent_delta", None))
         else:
-            self.store.land_result(key, result, existing=existing)
+            self.store.land_result(key, result)
 
     def iter_similarity_blocks(self, dataset: VectorDataset,
                                measure: str = "cosine", **kwargs):

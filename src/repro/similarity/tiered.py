@@ -273,7 +273,7 @@ class TieredApssEngine:
             bayes_key = self.sketch_cache.cache_key(
                 dataset.fingerprint(), measure, "bayeslsh",
                 **self.sketch_options)
-            floor, _, _ = self.sketch_cache._lookup_floor(
+            floor, _ = self.sketch_cache._lookup_floor(
                 bayes_key, threshold, install=False)
             # Park the loosest known estimate floor under the exact key so
             # sibling processes answer from it too; land_result refuses the

@@ -283,7 +283,7 @@ class FsckReport:
         return not self.errors
 
 
-def _audit_floor_entries(root: Path, report: FsckReport) -> None:
+def _audit_floor_entries(store, report: FsckReport) -> None:
     """Audit the mutable floor dirs (``pairs``/``pairs-factorized``).
 
     These entries are keyed by digest (the key itself is unrecoverable
@@ -294,54 +294,21 @@ def _audit_floor_entries(root: Path, report: FsckReport) -> None:
     entry on first read and recomputes, so they are self-healing debris,
     not broken invariants.
     """
-    import hashlib
-    import io
-    import json
-
-    import numpy as np
-
     from repro.store.pairsets import FactorizedPairSet
-    from repro.store.similarity_store import _MAGIC, SCHEMA_VERSION
-
-    def validate(path: Path, kind: str) -> None:
-        raw = path.read_bytes()
-        if not raw.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        header_end = raw.index(b"\n", len(_MAGIC))
-        try:
-            header = json.loads(raw[len(_MAGIC):header_end])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"unparsable header: {exc}") from exc
-        payload = raw[header_end + 1:]
-        if header.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"schema {header.get('schema')!r}")
-        if header.get("kind") != kind:
-            raise ValueError(f"recorded kind {header.get('kind')!r} != "
-                             f"{kind!r}")
-        if len(payload) != header.get("payload_bytes"):
-            raise ValueError("payload truncated")
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            raise ValueError("payload checksum mismatch")
-        try:
-            with np.load(io.BytesIO(payload)) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except Exception as exc:
-            raise ValueError(f"undecodable payload: {exc}") from exc
-        meta = header.get("meta", {})
-        if kind == "pairs-factorized":
-            FactorizedPairSet.from_arrays(
-                arrays, threshold=float(meta.get("threshold", 0.0)))
 
     checked = 0
     invalid = 0
     for kind in ("pairs", "pairs-factorized"):
-        directory = root / kind
+        directory = store.root / kind
         if not directory.is_dir():
             continue
         for path in sorted(directory.glob("*.entry")):
             checked += 1
             try:
-                validate(path, kind)
+                arrays, meta = store.read_entry_file(path, kind, None)
+                if kind == "pairs-factorized":
+                    FactorizedPairSet.from_arrays(
+                        arrays, threshold=float(meta.get("threshold", 0.0)))
             except (OSError, TypeError, ValueError) as exc:
                 invalid += 1
                 report.warnings.append(
@@ -378,7 +345,7 @@ def fsck(root, *, strict_orphans: bool = False) -> FsckReport:
         report.errors.append(f"store root {root} does not exist")
         return report
     store = SimilarityStore(root)
-    _audit_floor_entries(root, report)
+    _audit_floor_entries(store, report)
     log = store.lineage
     versions = log.versions()
     current_version = log.current_version()

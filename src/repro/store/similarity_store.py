@@ -93,10 +93,6 @@ _MAGIC = b"REPRO-SIMSTORE\n"
 
 _LOGGER = logging.getLogger("repro.store")
 
-#: Sentinel distinguishing "caller did not pass an existing floor" from a
-#: known store miss (``existing=None``) in :meth:`SimilarityStore.land_result`.
-_UNSET = object()
-
 #: Entry kinds enumerated by :meth:`SimilarityStore.entry_count` by default.
 _ENTRY_KINDS = ("pairs", "pairs-factorized", "reducers", "sketches",
                 "sessions", "lineage")
@@ -113,6 +109,29 @@ class StoreAttachError(RuntimeError):
 
 def _key_digest(key: tuple) -> str:
     return hashlib.sha1(repr(key).encode()).hexdigest()
+
+
+def _read_header(handle, kind: str, key: tuple | None) -> dict:
+    """Parse and check the header of the entry open in *handle*.
+
+    Checks magic, header parse, schema version and the recorded kind and
+    key (*key* ``None`` skips the key check, for audits that only know the
+    kind), raising ``ValueError`` on any failure.  Leaves *handle* at the
+    first payload byte.
+    """
+    if handle.read(len(_MAGIC)) != _MAGIC:
+        raise ValueError("bad magic")
+    try:
+        header = json.loads(handle.readline())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"unparsable header: {exc}") from exc
+    if header.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"schema {header.get('schema')!r} != "
+                         f"{SCHEMA_VERSION}")
+    if header.get("kind") != kind or (key is not None
+                                      and header.get("key") != repr(key)):
+        raise ValueError("entry kind/key does not match lookup")
+    return header
 
 
 def _pairs_arrays(pairs) -> dict:
@@ -244,30 +263,20 @@ class SimilarityStore:
         return path
 
     def read_entry_file(self, path: Path, kind: str,
-                        key: tuple) -> tuple[dict, dict]:
+                        key: tuple | None) -> tuple[dict, dict]:
         """Load and fully validate the entry at *path*; raises on failure.
 
         The validation core shared by :meth:`get`, the snapshot resolver
-        and the ``fsck`` auditor: checks magic, header parse, schema
-        version, recorded kind/key, payload length, SHA-256 checksum and
-        payload decode, raising ``ValueError`` (or propagating ``OSError``
-        for an unreadable file) instead of evicting — eviction policy is
-        the caller's.
+        and the ``fsck`` auditor (which passes ``key=None``: it knows only
+        the kind): checks magic, header parse, schema version, recorded
+        kind/key, payload length, SHA-256 checksum and payload decode,
+        raising ``ValueError`` (or propagating ``OSError`` for an
+        unreadable file) instead of evicting — eviction policy is the
+        caller's.
         """
-        raw = Path(path).read_bytes()
-        if not raw.startswith(_MAGIC):
-            raise ValueError("bad magic")
-        header_end = raw.index(b"\n", len(_MAGIC))
-        try:
-            header = json.loads(raw[len(_MAGIC):header_end])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"unparsable header: {exc}") from exc
-        payload = raw[header_end + 1:]
-        if header.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"schema {header.get('schema')!r} != "
-                             f"{SCHEMA_VERSION}")
-        if header.get("key") != repr(key) or header.get("kind") != kind:
-            raise ValueError("entry key does not match lookup key")
+        with open(path, "rb") as handle:
+            header = _read_header(handle, kind, key)
+            payload = handle.read()
         if len(payload) != header.get("payload_bytes"):
             raise ValueError("payload truncated")
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
@@ -506,8 +515,29 @@ class SimilarityStore:
         self.hits += 1
         return stored
 
-    def land_result(self, key: tuple, result: EngineResult, *,
-                    existing: "EngineResult | None" = _UNSET) -> bool:
+    def _held_floor(self, key: tuple) -> tuple[bool, float] | None:
+        """``(exact, threshold)`` of the floor under *key*, from its header.
+
+        ``None`` — so a landing overwrites, and thereby repairs, the
+        entry — when there is no file, the header fails
+        :func:`_read_header`, or the file size is not magic + header + the
+        recorded ``payload_bytes``.  The payload is never read.
+        """
+        kind = self._floor_location(key)
+        if kind is None:
+            return None
+        try:
+            with open(self._path(kind, key), "rb") as handle:
+                header = _read_header(handle, kind, key)
+                if (os.fstat(handle.fileno()).st_size
+                        != handle.tell() + header["payload_bytes"]):
+                    return None
+            meta = header["meta"]
+            return bool(meta["exact"]), float(meta["threshold"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def land_result(self, key: tuple, result: EngineResult) -> bool:
         """Write a floor under *key* iff it never downgrades the entry.
 
         The store-boundary mirror of :class:`~repro.core.knowledge_cache.
@@ -524,17 +554,21 @@ class SimilarityStore:
         * same flavour → only a strictly looser floor lands (the
           long-standing sweep-cache rule).
 
-        Pass *existing* (a prior :meth:`load_result` for *key*, or ``None``
-        for a known miss) to skip the re-read.  Returns whether the entry
-        was written.
+        The decision reads only the held entry's header (its ``exact``
+        and ``threshold``), never its payload, so a refused landing costs
+        one small read.  A file whose size disagrees with its header's
+        ``payload_bytes`` (truncated or padded) counts as no entry and is
+        overwritten at once.  Payload bit flips that keep the size are
+        left to the checksum: the next :meth:`load_result` evicts the
+        entry, and the landing after that writes.  Returns whether the
+        entry was written.
         """
-        if existing is _UNSET:
-            existing = self.load_result(key)
-        if existing is not None:
-            if existing.exact and not result.exact:
+        held = self._held_floor(key)
+        if held is not None:
+            exact, threshold = held
+            if exact and not result.exact:
                 return False
-            if (existing.exact == result.exact
-                    and existing.threshold <= result.threshold):
+            if exact == result.exact and threshold <= result.threshold:
                 return False
         self.save_result(key, result)
         return True
@@ -662,8 +696,7 @@ class SimilarityStore:
                         sequence=int(sequence))
 
     def publish_floor(self, key: tuple, result: EngineResult,
-                      delta=None, *,
-                      existing: "EngineResult | None" = _UNSET) -> Manifest:
+                      delta=None) -> Manifest:
         """Land a floor in the versioned lineage (and the legacy entry dir).
 
         *key* is the sweep-cache floor key ``(fingerprint, measure,
@@ -677,14 +710,13 @@ class SimilarityStore:
         exactly their pinned version.
 
         The legacy ("latest floor") entry goes through
-        :meth:`land_result`'s upgrade-only contract (pass *existing* to
-        skip its re-read).  **Approximate results never enter the
-        lineage**: a delta chain of estimates has no coherent merge
-        semantics (each link drops a different ε-budget of pairs), so the
-        sketch tier lives entirely in the mutable entry dir and the MVCC
-        manifest stays a record of exact floors only.
+        :meth:`land_result`'s upgrade-only contract.  **Approximate
+        results never enter the lineage**: a delta chain of estimates has
+        no coherent merge semantics (each link drops a different ε-budget
+        of pairs), so the sketch tier lives entirely in the mutable entry
+        dir and the MVCC manifest stays a record of exact floors only.
         """
-        landed = self.land_result(key, result, existing=existing)
+        landed = self.land_result(key, result)
         if not result.exact or not landed:
             return self.lineage.current()
         fingerprint = str(key[0])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.similarity import EngineResult, SimilarPair
 from repro.store import SimilarityStore, fsck
+from repro.store.similarity_store import _MAGIC
 
 KEY = ("fp-tier-upgrade", "cosine", "exact-blocked", ())
 LOOSE, TIGHT = 0.3, 0.6
@@ -163,3 +164,109 @@ def test_estimates_never_enter_lineage(tmp_path):
     assert not store.load_result(KEY).exact          # ...but it is parked
     store.publish_floor(KEY, _CANDIDATES["exact_loose"])
     assert store.lineage.current().version > version_before
+
+
+# --------------------------------------------------------------------- #
+# Header-only landing: refusals never read the payload
+# --------------------------------------------------------------------- #
+
+def test_flipped_payload_byte_is_repaired_through_eviction(tmp_path):
+    """A bit flip keeps the header and the size, so landings decided on
+    the header still see the damaged floor; the checksum on the next full
+    read evicts it, and the landing after that writes a clean entry."""
+    store = SimilarityStore(tmp_path / "store")
+    assert store.land_result(KEY, _result(0.5, exact=True))
+    path = store._path("pairs", KEY)
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b"\n", len(_MAGIC)) + 1  # first payload byte
+    raw[start + (len(raw) - start) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+    assert store.land_result(KEY, _result(0.6, exact=True)) is False
+    assert path.read_bytes() == bytes(raw), "refusal touched the entry"
+    report = fsck(store.root)
+    assert report.ok
+    assert any(path.name in warning for warning in report.warnings)
+    assert store.load_result(KEY) is None
+    assert store.evictions == 1 and not path.exists()
+
+    landed = _result(0.6, exact=True)
+    assert store.land_result(KEY, landed)
+    reloaded = store.load_result(KEY)
+    assert (reloaded.exact, reloaded.threshold) == (True, 0.6)
+    assert [p.as_tuple() for p in reloaded.pairs] == \
+        [p.as_tuple() for p in landed.pairs]
+
+
+@pytest.mark.parametrize("resize", [
+    lambda raw: raw[:-7],
+    lambda raw: raw + b"\0" * 7,
+], ids=["truncated", "padded"])
+def test_missized_entry_is_overwritten_without_a_read(tmp_path, resize,
+                                                      monkeypatch):
+    """A file whose size disagrees with its header counts as no entry:
+    even a tighter floor lands over it straight away, with no full read
+    and no eviction in between."""
+    store = SimilarityStore(tmp_path / "store")
+    assert store.land_result(KEY, _result(0.3, exact=True))
+    path = store._path("pairs", KEY)
+    path.write_bytes(resize(path.read_bytes()))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("landing read the entry payload")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "read_entry_file", no_read)
+        assert store.land_result(KEY, _result(0.6, exact=True))
+    reloaded = store.load_result(KEY)
+    assert (reloaded.exact, reloaded.threshold) == (True, 0.6)
+    assert store.evictions == 0
+
+
+def test_refused_landing_never_decodes_a_factorized_floor(tmp_path,
+                                                          monkeypatch):
+    """Refusing a write over a large factorised floor costs a header read:
+    no checksum, no npz load, no factorised decode."""
+    import hashlib
+
+    import numpy as np
+
+    from repro.store import FactorizedPairSet
+
+    n_rows = 150  # one clique: 11 175 pairs, well past the factorise floor
+    first, second = np.triu_indices(n_rows, k=1)
+    values = np.random.default_rng(7).uniform(0.5, 1.0, size=len(first))
+    pairs = [SimilarPair(int(i), int(j), float(v))
+             for i, j, v in zip(first, second, values)]
+    floor = EngineResult(
+        backend="exact-blocked", measure="cosine", threshold=0.5,
+        n_rows=n_rows, pairs=pairs, exact=True, seconds=0.0,
+        n_candidates=len(pairs), n_pruned=0)
+    store = SimilarityStore(tmp_path / "store")
+    assert store.land_result(KEY, floor)
+    assert store._path("pairs-factorized", KEY).is_file()
+    assert len(pairs) >= 10_000
+
+    calls = {"from_arrays": 0, "load": 0, "sha256": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FactorizedPairSet, "from_arrays", staticmethod(
+        counting("from_arrays", FactorizedPairSet.from_arrays)))
+    monkeypatch.setattr(np, "load", counting("load", np.load))
+    monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
+
+    tighter = EngineResult(
+        backend="exact-blocked", measure="cosine", threshold=0.9,
+        n_rows=n_rows, pairs=[p for p in pairs if p.similarity >= 0.9],
+        exact=True, seconds=0.0, n_candidates=0, n_pruned=0)
+    assert store.land_result(KEY, tighter) is False
+    assert store.land_result(KEY, _result(0.3, exact=False)) is False
+    assert calls == {"from_arrays": 0, "load": 0, "sha256": 0}
+    # The wrappers are live: a full read goes through all three.
+    assert len(store.load_result(KEY).pairs) == len(pairs)
+    assert min(calls.values()) >= 1
