@@ -224,7 +224,7 @@ def run_straggler(smoke: bool = True, n_workers: int = 4,
     Worker slot 0 is slowed ``STRAGGLER_FACTOR``x through the
     ``REPRO_APSS_STRAGGLER`` hook (the sleep is proportional to each shard's
     measured kernel time, so the ratio is machine-free).  Static binding
-    (``steal="bound"``: same queue, stealing off) must wait for the
+    (``steal=False``: same queue, stealing off) must wait for the
     straggler's entire stripe; stealing redistributes it.  Both modes must
     return identical pairs; rows report per-mode seconds, the per-worker
     claim counters and the stealing row's ``speedup_vs_static``.
@@ -250,7 +250,7 @@ def run_straggler(smoke: bool = True, n_workers: int = 4,
         rows = []
         reference_pairs = None
         static_seconds = None
-        for label, steal in (("static-bound", "bound"), ("stealing", True)):
+        for label, steal in (("static-bound", False), ("stealing", True)):
             best = None
             for _ in range(repeats):
                 result = engine.search(dataset, threshold, "cosine",

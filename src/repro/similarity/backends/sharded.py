@@ -1,10 +1,12 @@
 """Sharded multi-process APSS backend over the blocked Gram kernel.
 
 ``sharded-blocked`` partitions the upper-triangular block grid (see
-:mod:`repro.similarity.partition`) and fans the shards out over a
-``concurrent.futures`` executor — a ``ProcessPoolExecutor`` by default, an
-in-process :class:`InlineShardExecutor` when ``n_workers=1`` (or for
-debugging), or anything a test injects via ``executor_factory``.  Each worker
+:mod:`repro.similarity.partition`) and runs one *runner* per worker slot;
+each runner claims shards from a work-stealing
+:class:`~repro.similarity.stealing.ShardQueue` until it drains.  Runners go
+to a ``concurrent.futures`` executor — a ``ProcessPoolExecutor`` by default,
+an in-process :class:`InlineShardExecutor` when ``n_workers=1`` (or for
+debugging), or anything a test injects via ``executor_factory``.  Each shard
 runs the same slab kernel as ``exact-blocked``
 (:func:`repro.similarity.streaming.compute_block_slab`) restricted to the
 columns its shard actually extracts pairs from, so a 4-worker pass does about
@@ -63,7 +65,7 @@ from repro.similarity.backends.base import (ApssBackend, BackendOutput,
 from repro.similarity.partition import (BlockShard, block_ranges,
                                         partition_blocks,
                                         partition_delta_blocks,
-                                        resolve_worker_count, shard_owner)
+                                        resolve_worker_count)
 from repro.similarity.streaming import (DEFAULT_MEMORY_BUDGET_MB,
                                         STREAMING_MEASURES, HistogramReducer,
                                         SelectionSketch, TopKReducer,
@@ -106,9 +108,9 @@ class InjectedShardFault(RuntimeError):
 
 
 class _StolenShardFailure(Exception):
-    """Picklable carrier of a shard failure through a steal runner.
+    """Picklable carrier of a shard failure through a shard runner.
 
-    A steal runner executes *many* shards per task, so a raw exception from
+    A runner executes *many* shards per task, so a raw exception from
     the pool would lose which shard died.  ``args`` carry both fields (the
     default ``Exception`` pickling round-trips them across the process
     boundary — exception ``__cause__`` chains do not survive pickling), and
@@ -183,40 +185,31 @@ def _claim_pool_slot(token_dir: str, n_workers: int) -> int:
     return 0  # pragma: no cover - a restarted worker beyond the slot count
 
 
-def _worker_init(token_dir: str, n_workers: int, slowdown: float,
-                 pin: bool) -> None:
-    """Pool initializer for the straggler/affinity lanes.
+def _worker_init(token_dir: str, n_workers: int, slowdown: float) -> None:
+    """Pool initializer for the straggler lane.
 
-    Each worker claims a distinct slot token; slot 0 becomes the straggler
-    when *slowdown* > 1, and with *pin* each worker sets its CPU affinity to
-    one core of the process's allowed set (``os.sched_setaffinity`` where
-    available — a no-op elsewhere, so the option is portable).
+    Each worker claims a distinct slot token; the worker holding slot 0
+    becomes the straggler, its kernel running *slowdown* times slower.
     """
     global _SLOWDOWN
-    slot = _claim_pool_slot(token_dir, n_workers)
-    if slowdown > 1.0 and slot == 0:
+    if _claim_pool_slot(token_dir, n_workers) == 0:
         _SLOWDOWN = float(slowdown)
-    if pin and hasattr(os, "sched_setaffinity"):
-        try:
-            cpus = sorted(os.sched_getaffinity(0))
-            os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
-        except OSError:  # pragma: no cover - affinity denied by the platform
-            pass
 
 
 def _shard_payload(dataset: VectorDataset, measure: str,
-                   use_shared_memory: bool) -> tuple:
+                   shared: bool) -> tuple:
     """The per-task dataset payload: a shared-memory descriptor when possible.
 
-    With *use_shared_memory* the CSR arrays are published once (keyed by the
-    dataset fingerprint, LRU-capped) and the payload shrinks to a descriptor
-    of segment names; otherwise — in-process executors, unsupported
-    platforms, a full ``/dev/shm`` — the arrays ride along as before.  The
+    With *shared* (every multi-worker pass) the CSR arrays are published
+    once (keyed by the dataset fingerprint, LRU-capped) and the payload
+    shrinks to a descriptor of segment names.  Otherwise — the in-process
+    single-worker pass — and whenever publishing fails (an unsupported
+    platform, a full ``/dev/shm``), the arrays ride along pickled.  The
     fingerprint is computed once here, parent-side, and doubles as the
     workers' preparation-memo key.
     """
     fingerprint = dataset.fingerprint()
-    if use_shared_memory:
+    if shared:
         descriptor = shm.publish_dataset(dataset, fingerprint)
         if descriptor is not None:
             return ("shm", descriptor, measure)
@@ -386,105 +379,48 @@ def _delta_shard(payload: tuple, shard: BlockShard, threshold: float | None,
             np.concatenate(out_v), states)
 
 
-def _empty_chunk() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An empty ``(i, j, v)`` pair chunk with the canonical dtypes."""
-    empty = np.empty(0)
-    return empty.astype(np.int64), empty.astype(np.int64), empty
+def _shard_runner(kernel, kernel_args: tuple, payload: tuple, descriptor,
+                  shards: tuple, worker_slot: int, allow_steal: bool,
+                  inject_shard_fault: int | None = None, claim_gate=None):
+    """One runner per worker slot: claim shards from the queue until it drains.
 
-
-def _steal_search_worker(payload: tuple, descriptor, shards: tuple,
-                         threshold: float, worker_slot: int,
-                         allow_steal: bool = True,
-                         inject_shard_fault: int | None = None,
-                         claim_gate=None):
-    """One steal runner: claim shards from the queue until it drains.
-
-    Returns ``(worker_slot, claimed_shard_ids, (i, j, v))`` — the claim list
-    is the audit trail the parent cross-checks for exactly-once coverage and
-    publishes as per-worker claim counters.  A shard that fails (kernel error
-    or injected fault) surfaces as :class:`_StolenShardFailure` so the parent
-    can attribute the failure even though this task ran many shards.
+    Every claimed shard runs ``kernel(payload, shard, *kernel_args, fail=...)``
+    (:func:`_search_shard` or :func:`_delta_shard`).  Returns ``(worker_slot,
+    claimed_shard_ids, outputs)`` with one kernel output per claimed shard —
+    the claim list is the audit trail the parent cross-checks for
+    exactly-once coverage and publishes as per-worker claim counters.  A
+    shard that fails (kernel error or injected fault) surfaces as
+    :class:`_StolenShardFailure` so the parent can attribute the failure even
+    though this task ran many shards.
     """
     client = stealing.ShardQueueClient(descriptor, worker_slot,
                                        steal=allow_steal,
                                        claim_gate=claim_gate)
     claimed: list[int] = []
-    chunks: list[tuple] = []
+    outputs: list[tuple] = []
     while True:
         try:
             item = client.claim()
         except stealing.ClaimFault as fault:
             raise _StolenShardFailure(shards[fault.item].shard_id, fault.cause)
         if item is None:
-            break
+            return worker_slot, claimed, outputs
         shard = shards[item]
         try:
-            chunk = _search_shard(payload, shard, threshold,
-                                  fail=shard.shard_id == inject_shard_fault)
+            outputs.append(kernel(payload, shard, *kernel_args,
+                                  fail=shard.shard_id == inject_shard_fault))
         except BaseException as exc:  # noqa: BLE001 - attributed to the shard
             raise _StolenShardFailure(shard.shard_id, exc)
         claimed.append(shard.shard_id)
-        chunks.append(chunk)
-    if not chunks:
-        return worker_slot, claimed, _empty_chunk()
-    return worker_slot, claimed, (
-        np.concatenate([c[0] for c in chunks]),
-        np.concatenate([c[1] for c in chunks]),
-        np.concatenate([c[2] for c in chunks]))
-
-
-def _steal_delta_worker(payload: tuple, descriptor, shards: tuple,
-                        threshold: float | None,
-                        reducer_specs: dict | None, worker_slot: int,
-                        allow_steal: bool = True,
-                        inject_shard_fault: int | None = None,
-                        claim_gate=None):
-    """The delta-ingest twin of :func:`_steal_search_worker`.
-
-    Returns ``(worker_slot, claimed_shard_ids, (i, j, v), reducer_states)``
-    where *reducer_states* is the list of per-shard ``state()`` payload dicts
-    in claim order — merge commutativity makes that order irrelevant to the
-    folded result.
-    """
-    client = stealing.ShardQueueClient(descriptor, worker_slot,
-                                       steal=allow_steal,
-                                       claim_gate=claim_gate)
-    claimed: list[int] = []
-    chunks: list[tuple] = []
-    states: list[dict] = []
-    while True:
-        try:
-            item = client.claim()
-        except stealing.ClaimFault as fault:
-            raise _StolenShardFailure(shards[fault.item].shard_id, fault.cause)
-        if item is None:
-            break
-        shard = shards[item]
-        try:
-            first, second, values, shard_states = _delta_shard(
-                payload, shard, threshold, reducer_specs,
-                fail=shard.shard_id == inject_shard_fault)
-        except BaseException as exc:  # noqa: BLE001 - attributed to the shard
-            raise _StolenShardFailure(shard.shard_id, exc)
-        claimed.append(shard.shard_id)
-        chunks.append((first, second, values))
-        states.append(shard_states)
-    if not chunks:
-        return worker_slot, claimed, _empty_chunk(), states
-    return worker_slot, claimed, (
-        np.concatenate([c[0] for c in chunks]),
-        np.concatenate([c[1] for c in chunks]),
-        np.concatenate([c[2] for c in chunks])), states
 
 
 # --------------------------------------------------------------------- #
 # Shared process pools (amortise pool start-up across searches)
 # --------------------------------------------------------------------- #
 
-#: Keyed by ``(n_workers, pin_workers, straggler_factor)``: pools differing
-#: in affinity or straggler configuration must not be conflated — an
-#: affinity-pinned pool serving an unpinned search (or vice versa) would make
-#: the execution option silently sticky.
+#: Keyed by ``(n_workers, straggler_factor)``: a pool whose slot-0 worker was
+#: slowed by :data:`STRAGGLER_ENV_VAR` must never serve a search run without
+#: it (or vice versa), so the straggler setting is part of the key.
 _POOLS: dict[tuple, ProcessPoolExecutor] = {}
 
 #: Slot-token directories owned by live pools, removed on pool reset.
@@ -523,9 +459,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_disown_pools_after_fork)
 
 
-def _shared_pool(n_workers: int, pin: bool = False) -> ProcessPoolExecutor:
+def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
     slowdown = _resolve_straggler()
-    key = (n_workers, bool(pin), slowdown)
+    key = (n_workers, slowdown)
     pool = _POOLS.get(key)
     if pool is not None and getattr(pool, "_broken", False):
         # A worker died abnormally (OOM kill, segfault): the pool is
@@ -539,12 +475,12 @@ def _shared_pool(n_workers: int, pin: bool = False) -> ProcessPoolExecutor:
         shm.release_datasets()
         pool = None
     if pool is None:
-        if pin or slowdown > 1.0:
+        if slowdown > 1.0:
             token_dir = tempfile.mkdtemp(prefix="repro-pool-")
             _POOL_TOKEN_DIRS.append(token_dir)
             pool = ProcessPoolExecutor(
                 max_workers=n_workers, initializer=_worker_init,
-                initargs=(token_dir, n_workers, slowdown, bool(pin)))
+                initargs=(token_dir, n_workers, slowdown))
         else:
             pool = ProcessPoolExecutor(max_workers=n_workers)
         _POOLS[key] = pool
@@ -578,8 +514,6 @@ def reset_shared_pools(wait: bool = False) -> None:
             workers.extend(list(processes.values()))
         pool.shutdown(wait=False, cancel_futures=True)
     if wait:
-        import time
-
         deadline = time.monotonic() + 10.0
         for process in workers:
             process.join(max(0.1, deadline - time.monotonic()))
@@ -601,51 +535,34 @@ def _shutdown_pools() -> None:  # pragma: no cover - interpreter teardown
     reset_shared_pools(wait=True)
 
 
-def _resolve_executor(n_workers: int, executor_factory,
-                      pin_workers: bool = False):
+def _resolve_executor(n_workers: int, executor_factory):
     """Return ``(executor, owned)``; *owned* executors are shut down per call."""
     if executor_factory is not None:
         return executor_factory(n_workers), True
     if n_workers == 1:
         return InlineShardExecutor(), False
-    return _shared_pool(n_workers, pin=pin_workers), False
+    return _shared_pool(n_workers), False
 
 
-def _gather(ordered_futures, *, owned_executor=None):
-    """Yield results in submission order; on failure cancel the rest and raise.
-
-    ``ordered_futures`` is an iterable of ``(tag, future)``; *tag* is either a
-    :class:`BlockShard` or a ``(start, stop)`` block range and only feeds the
-    error message.  Blocking on the next-in-order future (rather than
-    ``as_completed``) keeps the merge canonical for free and cannot hang: a
-    failed future's ``result()`` raises immediately once it is done.
-    """
-    pending = list(ordered_futures)
-    for position, (tag, future) in enumerate(pending):
-        try:
-            yield future.result()
-        except Exception as exc:
-            for _, leftover in pending[position + 1:]:
-                leftover.cancel()
-            if owned_executor is not None:
-                owned_executor.shutdown(wait=False, cancel_futures=True)
-            if isinstance(tag, BlockShard):
-                raise ShardExecutionError(
-                    f"shard {tag.shard_id} failed: {exc}",
-                    shard_id=tag.shard_id) from exc
-            raise ShardExecutionError(
-                f"streamed block [{tag[0]}, {tag[1]}) failed: {exc}",
-                block=tuple(tag)) from exc
+def _block_result(block: tuple[int, int], future: Future):
+    """A streamed block's result; a failure raises :class:`ShardExecutionError`."""
+    try:
+        return future.result()
+    except Exception as exc:
+        raise ShardExecutionError(
+            f"streamed block [{block[0]}, {block[1]}) failed: {exc}",
+            block=tuple(block)) from exc
 
 
-def _gather_steal(slot_futures, *, owned_executor=None) -> list:
-    """Collect steal-runner results; attribute failures to shards.
+def _gather_runners(slot_futures, *, owned_executor=None) -> list:
+    """Collect shard-runner results; attribute failures to shards.
 
-    The steal twin of :func:`_gather`: one future per worker slot, each
-    covering every shard its runner claimed.  A :class:`_StolenShardFailure`
-    re-raises as :class:`ShardExecutionError` *from the original cause* so
-    fault attribution (shard id + ``__cause__``) is identical to the static
-    path; any other runner death is reported against the worker slot.
+    One future per worker slot, each covering every shard its runner
+    claimed.  Blocking on the slots in order cannot hang: a failed future's
+    ``result()`` raises as soon as it is done, and the rest are cancelled.  A
+    :class:`_StolenShardFailure` re-raises as :class:`ShardExecutionError`
+    *from the original cause*, so callers see the shard id and the worker's
+    own exception; any other runner death is reported against the slot.
     """
     results = []
     pending = list(slot_futures)
@@ -662,7 +579,7 @@ def _gather_steal(slot_futures, *, owned_executor=None) -> list:
                     f"shard {exc.shard_id} failed: {exc.cause}",
                     shard_id=exc.shard_id) from exc.cause
             raise ShardExecutionError(
-                f"steal worker {slot} failed: {exc}") from exc
+                f"shard runner {slot} failed: {exc}") from exc
     return results
 
 
@@ -681,6 +598,55 @@ def _check_claim_coverage(results, shards) -> dict[int, int]:
             f"work-stealing queue covered shards {claimed}, expected "
             f"{expected}")
     return {slot: len(ids) for slot, ids, *_ in results}
+
+
+def _check_steal(steal) -> bool:
+    """Validate the scheduling switch: ``True`` steals, ``False`` binds."""
+    if not isinstance(steal, bool):
+        raise ValueError(f"steal must be True (work stealing) or False "
+                         f"(static binding), got {steal!r}")
+    return steal
+
+
+def _run_shards(dataset: VectorDataset, measure: str, shards: list,
+                n_workers: int, executor_factory, steal: bool,
+                inject_shard_fault: int | None, kernel, kernel_args: tuple):
+    """Run *kernel* over *shards*: one queue runner per worker slot.
+
+    The one execution path of both the sharded search and the sharded delta
+    pass.  With ``n_workers=1`` the single runner runs in-process and claims
+    every shard itself.  Returns ``(outputs, claims, shared_memory)``: every
+    shard's kernel output (in no particular order — callers merge
+    canonically), the per-slot claim counters, and whether the dataset
+    travelled through shared memory.
+    """
+    payload = _shard_payload(dataset, measure, n_workers > 1)
+    executor, owned = _resolve_executor(n_workers, executor_factory)
+    pinned = payload[0] == "shm" and payload[1].fingerprint
+    if pinned:
+        shm.pin_dataset(pinned)
+    queue = None
+    try:
+        queue = stealing.ShardQueue(len(shards), n_workers)
+        futures = [
+            (slot, executor.submit(
+                _shard_runner, kernel, kernel_args, payload,
+                queue.descriptor(), tuple(shards), slot, steal,
+                inject_shard_fault, claim_gate=None))
+            for slot in range(n_workers)]
+        results = _gather_runners(
+            futures, owned_executor=executor if owned else None)
+    finally:
+        if queue is not None:
+            queue.close()
+        if pinned:
+            shm.unpin_dataset(pinned)
+        if owned:
+            executor.shutdown(wait=False, cancel_futures=True)
+    claims = _check_claim_coverage(results, shards)
+    outputs = [output for _, _, runner_outputs in results
+               for output in runner_outputs]
+    return outputs, claims, payload[0] == "shm"
 
 
 def _canonical_pair_list(chunks) -> list[SimilarPair]:
@@ -716,31 +682,17 @@ class ShardedBlockedBackend(ApssBackend):
         :mod:`repro.similarity.partition`.
     executor_factory:
         ``callable(n_workers) -> executor`` override used by the test harness
-        (deterministic shard-order replay) and available for custom pools.
+        (deterministic claim-order replay) and available for custom pools.
         Factory-made executors are shut down after each search.
-    use_shared_memory:
-        Whether multi-worker passes move the CSR payload through shared
-        memory (default).  Purely a transport choice — results are
-        bit-identical either way — so it lives in ``execution_options``.
     steal:
-        Shard scheduling discipline.  ``None`` (default) resolves to work
-        stealing for multi-worker searches: one runner task per worker claims
-        shards dynamically from a :class:`~repro.similarity.stealing.ShardQueue`
-        (own stripe first, then stealing from the most-loaded peer), so a
-        slow worker straggles at most its in-flight shard.  ``True`` forces
-        the queue, ``"bound"`` runs the queue with stealing disabled (true
-        static binding — each worker executes exactly its stripe; the
-        comparator the straggler benchmark measures against), and ``False``
-        keeps the legacy one-task-per-shard fan-out.  All four produce
+        Shard scheduling.  Every search runs one runner per worker slot that
+        claims shards from a :class:`~repro.similarity.stealing.ShardQueue`,
+        own stripe first.  ``True`` (default) is work stealing: a runner
+        whose stripe is drained steals from the most-loaded peer, so a slow
+        worker straggles at most its in-flight shard.  ``False`` is static
+        binding: each runner executes exactly its stripe — the comparator the
+        straggler benchmark measures stealing against.  Both produce
         bit-identical results.
-    borrow_slabs:
-        Streaming-path option (forwarded by the engine's block-stream
-        dispatch): hand consumers read-only borrowed views of ring slots
-        instead of copies.  See :func:`iter_similarity_blocks_sharded`.
-    pin_workers:
-        Pin each pool worker to one CPU core via ``os.sched_setaffinity``
-        (no-op on platforms without it).  Execution-only: results are
-        identical, scheduling jitter shrinks.
     inject_shard_fault:
         Fault-injection hook: the shard with this id raises
         :class:`InjectedShardFault` mid-stream.  Exists so the failure path
@@ -755,8 +707,7 @@ class ShardedBlockedBackend(ApssBackend):
     #: ``inject_shard_fault`` is deliberately NOT here: it changes the
     #: outcome (the search raises), so a cached sweep must not swallow it.
     execution_options = ("n_workers", "shards_per_worker", "partition_strategy",
-                         "executor_factory", "use_shared_memory", "steal",
-                         "borrow_slabs", "pin_workers")
+                         "executor_factory", "steal")
 
     def __init__(self, n_workers: int | None = None,
                  block_rows: int | None = None,
@@ -764,10 +715,7 @@ class ShardedBlockedBackend(ApssBackend):
                  shards_per_worker: int = 2,
                  partition_strategy: str = "striped",
                  executor_factory=None,
-                 use_shared_memory: bool = True,
-                 steal=None,
-                 borrow_slabs: bool = True,
-                 pin_workers: bool = False,
+                 steal: bool = True,
                  inject_shard_fault: int | None = None) -> None:
         if block_rows is not None and block_rows <= 0:
             raise ValueError("block_rows must be positive")
@@ -775,56 +723,29 @@ class ShardedBlockedBackend(ApssBackend):
             raise ValueError("memory_budget_mb must be positive")
         if shards_per_worker < 1:
             raise ValueError("shards_per_worker must be at least 1")
-        if steal not in (None, True, False, "bound"):
-            raise ValueError(f"steal must be None, True, False or 'bound', "
-                             f"got {steal!r}")
         self.n_workers = resolve_worker_count(n_workers)
         self.block_rows = block_rows
         self.memory_budget_mb = float(memory_budget_mb)
         self.shards_per_worker = int(shards_per_worker)
         self.partition_strategy = partition_strategy
         self.executor_factory = executor_factory
-        self.use_shared_memory = bool(use_shared_memory)
-        self.steal = steal
-        self.borrow_slabs = bool(borrow_slabs)
-        self.pin_workers = bool(pin_workers)
+        self.steal = _check_steal(steal)
         self.inject_shard_fault = inject_shard_fault
         # Validate eagerly so typos fail at construction, not mid-search.
         partition_blocks(2, 1, 1, strategy=partition_strategy)
 
-    def _steal_mode(self) -> str | None:
-        """Resolve the scheduling discipline: ``"steal"``, ``"bound"`` or ``None``.
-
-        ``None`` means the legacy one-task-per-shard fan-out.  Single-worker
-        searches never use the queue — there is nobody to steal from and the
-        inline path has no pool to schedule.
-        """
-        if self.n_workers <= 1:
-            return None
-        if self.steal is None or self.steal is True:
-            return "steal"
-        if self.steal == "bound":
-            return "bound"
-        return None
-
     @classmethod
     def parity_variants(cls) -> list[dict]:
-        """Parity-check the scheduling seams: worker counts, scheduling, transports.
+        """Parity-check the scheduling seams: worker counts and scheduling.
 
-        The full stealing on/off x borrowing on/off cross at 2 workers, both
-        scheduling disciplines at 4 workers, the static-bound queue mode, and
-        a stealing pass with the shared-memory transport disabled — every
-        combination must produce byte-identical pair lists.
+        The in-process single runner, both scheduling disciplines at 2
+        workers, and stealing at 4 workers — every one must produce
+        byte-identical pair lists.
         """
         return [{"n_workers": 1},
-                {"n_workers": 2, "steal": False, "borrow_slabs": False},
-                {"n_workers": 2, "steal": False, "borrow_slabs": True},
-                {"n_workers": 2, "steal": True, "borrow_slabs": False},
-                {"n_workers": 2, "steal": True, "borrow_slabs": True},
-                {"n_workers": 2, "steal": "bound"},
-                {"n_workers": 4, "steal": False},
-                {"n_workers": 4, "steal": True},
-                {"n_workers": 2, "steal": True, "use_shared_memory": False}]
+                {"n_workers": 2, "steal": True},
+                {"n_workers": 2, "steal": False},
+                {"n_workers": 4, "steal": True}]
 
     def plan(self, n_rows: int) -> list[BlockShard]:
         """The deterministic shard plan for an *n_rows* dataset."""
@@ -837,7 +758,7 @@ class ShardedBlockedBackend(ApssBackend):
     # ------------------------------------------------------------------ #
     def search(self, dataset: VectorDataset, threshold: float,
                measure: str = "cosine") -> BackendOutput:
-        """Find pairs at or above *threshold* by fanning shards over workers."""
+        """Find pairs at or above *threshold*; runners claim the shards."""
         self.check_measure(measure)
         n = dataset.n_rows
         if n < 2:
@@ -850,46 +771,10 @@ class ShardedBlockedBackend(ApssBackend):
             raise ValueError(
                 f"inject_shard_fault={self.inject_shard_fault} is out of "
                 f"range: the plan for {n} rows has {len(shards)} shard(s)")
-        payload = _shard_payload(dataset, measure,
-                                 self.use_shared_memory and self.n_workers > 1)
-        executor, owned = _resolve_executor(self.n_workers,
-                                            self.executor_factory,
-                                            self.pin_workers)
-        pinned = payload[0] == "shm" and payload[1].fingerprint
-        if pinned:
-            shm.pin_dataset(pinned)
-        steal_mode = self._steal_mode()
-        claims: dict[int, int] | None = None
-        queue = None
-        try:
-            if steal_mode is not None:
-                queue = stealing.ShardQueue(len(shards), self.n_workers)
-                futures = [
-                    (slot, executor.submit(
-                        _steal_search_worker, payload, queue.descriptor(),
-                        tuple(shards), float(threshold), slot,
-                        steal_mode == "steal", self.inject_shard_fault,
-                        claim_gate=None))
-                    for slot in range(self.n_workers)]
-                results = _gather_steal(
-                    futures, owned_executor=executor if owned else None)
-                claims = _check_claim_coverage(results, shards)
-                chunks = [chunk for _, _, chunk in results]
-            else:
-                futures = [
-                    (shard, executor.submit(
-                        _search_shard, payload, shard, float(threshold),
-                        shard.shard_id == self.inject_shard_fault))
-                    for shard in shards]
-                chunks = list(_gather(
-                    futures, owned_executor=executor if owned else None))
-        finally:
-            if queue is not None:
-                queue.close()
-            if pinned:
-                shm.unpin_dataset(pinned)
-            if owned:
-                executor.shutdown(wait=False, cancel_futures=True)
+        chunks, claims, shared = _run_shards(
+            dataset, measure, shards, self.n_workers, self.executor_factory,
+            self.steal, self.inject_shard_fault, _search_shard,
+            (float(threshold),))
         # Canonical (first, second) order: the merged pair list is identical
         # regardless of shard layout, scheduling discipline or completion
         # order, so parity checks and cache fingerprints cannot observe the
@@ -899,8 +784,8 @@ class ShardedBlockedBackend(ApssBackend):
             pairs=pairs, n_candidates=n * (n - 1) // 2,
             details={"n_workers": self.n_workers, "n_shards": len(shards),
                      "partition_strategy": self.partition_strategy,
-                     "shared_memory": payload[0] == "shm",
-                     "steal": steal_mode or "static",
+                     "shared_memory": shared,
+                     "steal": "steal" if self.steal else "bound",
                      "claims": claims,
                      "block_rows": resolve_block_rows(
                          n, self.block_rows, self.memory_budget_mb)})
@@ -927,9 +812,6 @@ def iter_similarity_blocks_sharded(
         n_workers: int | None = None, block_rows: int | None = None,
         memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
         executor_factory=None, max_pending: int | None = None,
-        use_shared_memory: bool = True,
-        borrow_slabs: bool = True,
-        pin_workers: bool = False,
         inject_block_fault: int | None = None,
 ) -> Iterator[tuple[range, np.ndarray]]:
     """Sharded drop-in for :func:`repro.similarity.streaming.iter_similarity_blocks`.
@@ -940,17 +822,14 @@ def iter_similarity_blocks_sharded(
     next-in-order future, so out-of-order completions are absorbed by the
     window rather than reordering the stream.  Multi-worker streams return
     their slabs through a shared-memory ring of ``max_pending`` slots (one
-    per in-flight task) unless *use_shared_memory* is off or segment creation
-    fails, in which case slabs fall back to pickled returns.
+    per in-flight task) unless segment creation fails, in which case slabs
+    fall back to pickled returns.
 
-    With *borrow_slabs* (the default) the yielded slab is a **read-only
-    borrowed view** of its ring slot — zero-copy from the worker's Gram
-    kernel to the consumer — valid until the next iteration step (the
-    generator releases the borrow when resumed, and the slot is then
-    rewritten by a later block).  Consumers that retain slabs across
-    iterations must copy them, or pass ``borrow_slabs=False`` to get
-    owned copies (the untrusted-consumer fallback; also the behaviour
-    whenever the ring is unavailable).
+    Through the ring, the yielded slab is a **read-only borrowed view** of
+    its slot — zero-copy from the worker's Gram kernel to the consumer —
+    valid until the next iteration step (the generator releases the borrow
+    when resumed, and the slot is then rewritten by a later block).  A
+    consumer that keeps a slab past the next step must ``.copy()`` it.
 
     A failed block raises :class:`ShardExecutionError` after every earlier
     block was yielded; blocks after the failure are cancelled, and in-flight
@@ -982,16 +861,14 @@ def iter_similarity_blocks_sharded(
     window = (max_pending if max_pending is not None
               else shm.default_ring_slots(n_workers))
     window = max(1, int(window))
-    use_shm = use_shared_memory and n_workers > 1
-    payload = _shard_payload(dataset, measure, use_shm)
+    payload = _shard_payload(dataset, measure, n_workers > 1)
     ring = None
-    if use_shm and payload[0] == "shm":
+    if payload[0] == "shm":
         try:
             ring = shm.SlabRing(window, rows_per_block * n * 8)
         except OSError:
             ring = None  # fall back to pickled slab returns
-    executor, owned = _resolve_executor(n_workers, executor_factory,
-                                        pin_workers)
+    executor, owned = _resolve_executor(n_workers, executor_factory)
     # Pin for the stream's whole lifetime: other datasets published while
     # this generator is suspended must not LRU-evict its segments.
     pinned = payload[0] == "shm" and payload[1].fingerprint
@@ -1016,33 +893,28 @@ def iter_similarity_blocks_sharded(
                     next_to_submit == inject_block_fault, slot)))
                 next_to_submit += 1
             (start, stop), future = pending.popleft()
-            result = next(_gather([((start, stop), future)]))
-            if ring is not None:
-                shape = (stop - start, n)
-                if tuple(result) != shape:
-                    raise ShardExecutionError(
-                        f"streamed block [{start}, {stop}) returned shape "
-                        f"{tuple(result)}, expected {shape}",
-                        block=(start, stop))
-                task_index = start // rows_per_block
-                if borrow_slabs:
-                    # Zero-copy: the consumer reads the slot in place; the
-                    # borrow is released when the consumer asks for the next
-                    # block, at which point the slot may be rewritten.
-                    slab = ring.borrow(task_index, shape)
-                    try:
-                        yield range(start, stop), slab
-                    finally:
-                        # Runs on normal resume AND on generator close /
-                        # consumer crash, so an abandoned stream cannot leave
-                        # a slot borrowed forever.
-                        ring.release(task_index)
-                    continue
-                # Copy fallback: consume the slot before reuse.
-                slab = ring.read(task_index, shape)
-            else:
-                slab = result
-            yield range(start, stop), slab
+            result = _block_result((start, stop), future)
+            if ring is None:
+                yield range(start, stop), result
+                continue
+            shape = (stop - start, n)
+            if tuple(result) != shape:
+                raise ShardExecutionError(
+                    f"streamed block [{start}, {stop}) returned shape "
+                    f"{tuple(result)}, expected {shape}",
+                    block=(start, stop))
+            task_index = start // rows_per_block
+            # Zero-copy: the consumer reads the slot in place; the borrow is
+            # released when the consumer asks for the next block, at which
+            # point the slot may be rewritten.
+            slab = ring.borrow(task_index, shape)
+            try:
+                yield range(start, stop), slab
+            finally:
+                # Runs on normal resume AND on generator close / consumer
+                # crash, so an abandoned stream cannot leave a slot borrowed
+                # forever.
+                ring.release(task_index)
     finally:
         if ring is not None:
             # Quiesce before unlink: a cancelled future stays cancelled, but
@@ -1068,22 +940,19 @@ def run_delta_shards(child: VectorDataset, delta: DatasetDelta,
                      shards_per_worker: int = 2,
                      partition_strategy: str = "striped",
                      executor_factory=None,
-                     use_shared_memory: bool = True,
-                     steal=None,
-                     pin_workers: bool = False,
+                     steal: bool = True,
                      inject_shard_fault: int | None = None,
                      ) -> tuple[list[SimilarPair], dict[str, list]]:
-    """Fan the ``Δn x n`` append cross block over the shared worker pool.
+    """Run the ``Δn x n`` append cross block over the shared worker pool.
 
     The ingest twin of :meth:`ShardedBlockedBackend.search`: the appended
     row range of *delta* is partitioned by
     :func:`~repro.similarity.partition.partition_delta_blocks`, each shard
     scores its blocks against every column ``j < row`` (exactly the new
-    pairs), and the shard results merge canonically.  Scheduling follows the
-    same *steal* discipline as search — multi-worker ingest claims shards
-    from a work-stealing :class:`~repro.similarity.stealing.ShardQueue` by
-    default (``steal=False`` keeps the one-task-per-shard fan-out,
-    ``"bound"`` the static-binding queue mode).  Returns
+    pairs), and the shard results merge canonically.  Scheduling is the
+    search's: one runner per worker slot claims shards from a
+    :class:`~repro.similarity.stealing.ShardQueue`, stealing unless
+    ``steal=False``.  Returns
     ``(pairs, states)`` — the new pairs at or above *threshold* in
     ``(first, second)`` order (empty when *threshold* is ``None``) and, per
     reducer kind in *reducer_specs*, the list of shard-local ``state()``
@@ -1092,9 +961,7 @@ def run_delta_shards(child: VectorDataset, delta: DatasetDelta,
     have validated the delta against the child dataset already (see
     :class:`repro.store.delta.DeltaApssBackend`).
     """
-    if steal not in (None, True, False, "bound"):
-        raise ValueError(f"steal must be None, True, False or 'bound', "
-                         f"got {steal!r}")
+    steal = _check_steal(steal)
     n_workers = resolve_worker_count(n_workers)
     rows_per_block = resolve_block_rows(child.n_rows, block_rows,
                                         memory_budget_mb)
@@ -1110,64 +977,13 @@ def run_delta_shards(child: VectorDataset, delta: DatasetDelta,
         raise ValueError(
             f"inject_shard_fault={inject_shard_fault} is out of range: the "
             f"delta plan has {len(shards)} shard(s)")
-    if n_workers <= 1:
-        steal_mode = None
-    elif steal is None or steal is True:
-        steal_mode = "steal"
-    elif steal == "bound":
-        steal_mode = "bound"
-    else:
-        steal_mode = None
-    payload = _shard_payload(child, measure,
-                             use_shared_memory and n_workers > 1)
-    executor, owned = _resolve_executor(n_workers, executor_factory,
-                                        pin_workers)
-    pinned = payload[0] == "shm" and payload[1].fingerprint
-    if pinned:
-        shm.pin_dataset(pinned)
-    queue = None
-    try:
-        if steal_mode is not None:
-            queue = stealing.ShardQueue(len(shards), n_workers)
-            futures = [
-                (slot, executor.submit(
-                    _steal_delta_worker, payload, queue.descriptor(),
-                    tuple(shards),
-                    None if threshold is None else float(threshold),
-                    reducer_specs, slot, steal_mode == "steal",
-                    inject_shard_fault, claim_gate=None))
-                for slot in range(n_workers)]
-            results = _gather_steal(
-                futures, owned_executor=executor if owned else None)
-            _check_claim_coverage(results, shards)
-            # One pair chunk per runner; per-shard reducer states are
-            # folded directly (merge is commutative, so runner/claim
-            # order is invisible in the folded result).
-            chunks = [(chunk[0], chunk[1], chunk[2], {})
-                      for _, _, chunk, _ in results]
-            for _, _, _, states_list in results:
-                for shard_states in states_list:
-                    for kind, state in shard_states.items():
-                        states[kind].append(state)
-        else:
-            futures = [
-                (shard, executor.submit(
-                    _delta_shard, payload, shard,
-                    None if threshold is None else float(threshold),
-                    reducer_specs, shard.shard_id == inject_shard_fault))
-                for shard in shards]
-            chunks = list(_gather(
-                futures, owned_executor=executor if owned else None))
-    finally:
-        if queue is not None:
-            queue.close()
-        if pinned:
-            shm.unpin_dataset(pinned)
-        if owned:
-            executor.shutdown(wait=False, cancel_futures=True)
-    for *_, shard_states in chunks:
+    outputs, _, _ = _run_shards(
+        child, measure, shards, n_workers, executor_factory, steal,
+        inject_shard_fault, _delta_shard,
+        (None if threshold is None else float(threshold), reducer_specs))
+    for *_, shard_states in outputs:
         for kind, state in shard_states.items():
             states[kind].append(state)
     pairs = ([] if threshold is None
-             else _canonical_pair_list([c[:3] for c in chunks]))
+             else _canonical_pair_list([output[:3] for output in outputs]))
     return pairs, states

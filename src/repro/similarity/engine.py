@@ -160,10 +160,7 @@ class ApssEngine:
                 dataset, measure, block_rows=block_rows,
                 memory_budget_mb=memory_budget_mb,
                 n_workers=defaults.get("n_workers"),
-                executor_factory=defaults.get("executor_factory"),
-                use_shared_memory=defaults.get("use_shared_memory", True),
-                borrow_slabs=defaults.get("borrow_slabs", True),
-                pin_workers=defaults.get("pin_workers", False))
+                executor_factory=defaults.get("executor_factory"))
         return iter_similarity_blocks(dataset, measure, block_rows=block_rows,
                                       memory_budget_mb=memory_budget_mb)
 

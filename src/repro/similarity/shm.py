@@ -19,13 +19,12 @@ process pool's result pipe as a pickled ndarray.  This module removes both:
 * **Slab ring** — :class:`SlabRing` is a bounded ring of slab-sized segments
   the streaming path hands to workers as return slots.  A worker writes its
   dense slab straight into its slot (:func:`write_slab`) and returns only the
-  shape; the parent either copies the slab out (:meth:`SlabRing.read`) or —
-  the zero-copy path — *borrows* the slot (:meth:`SlabRing.borrow`): a
-  read-only ndarray view of the mapped buffer, handed to trusted reducers in
-  place.  A borrowed slot cannot be handed to a writer again
+  shape; the parent *borrows* the slot (:meth:`SlabRing.borrow`): a
+  read-only, zero-copy ndarray view of the mapped buffer, handed to the
+  consumer in place.  A borrowed slot cannot be handed to a writer again
   (:meth:`SlabRing.slot_name` refuses) until :meth:`SlabRing.release` returns
   it.  Slot reuse is safe by construction: slot ``k % size`` is only
-  resubmitted after task ``k - size`` was consumed (copied or released),
+  resubmitted after task ``k - size`` was consumed (released),
   which the streaming generator's bounded in-flight window guarantees.
 
 Every entry point degrades gracefully: :func:`publish_dataset` and
@@ -429,11 +428,6 @@ class SlabRing:
                 f"ring slot {index % len(self._segments)} is still borrowed; "
                 f"release() it before it can be written again")
         return segment.name
-
-    def read(self, index: int, shape: tuple) -> np.ndarray:
-        """Copy task *index*'s slab out of its slot (the slot is then free)."""
-        return np.ndarray(shape, dtype=np.float64,
-                          buffer=self._slot(index).buf).copy()
 
     def borrow(self, index: int, shape: tuple) -> np.ndarray:
         """A read-only, zero-copy view of task *index*'s slab.

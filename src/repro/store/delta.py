@@ -145,19 +145,13 @@ class DeltaApssBackend:
         same shared pool (and shared-memory transport) as the
         ``sharded-blocked`` backend; ``None`` resolves like the sharded
         backend (``REPRO_APSS_WORKERS``, else CPU count).
-    shards_per_worker, partition_strategy, executor_factory, use_shared_memory,
-    steal, pin_workers:
+    shards_per_worker, partition_strategy, executor_factory, steal:
         Sharded-pass scheduling knobs with
         :class:`~repro.similarity.backends.sharded.ShardedBlockedBackend`
-        semantics — multi-worker ingest claims shards from the same
-        work-stealing queue as search (``steal="bound"``/``False`` for the
-        static disciplines).  None of them change results — parity across
-        worker counts and steal modes is property-tested.
-    borrow_slabs:
-        Accepted for roster compatibility with the sharded backend's
-        ``parity_variants()`` and ignored: the delta pass returns pair
-        chunks and reducer state, not streamed slabs, so there is nothing
-        to borrow.
+        semantics — ingest runners claim shards from the same work-stealing
+        queue as search (``steal=False`` for static binding).  None of them
+        change results — parity across worker counts and both scheduling
+        disciplines is property-tested.
     inject_shard_fault:
         Fault-injection hook for the sharded pass (tests): the chosen shard
         raises mid-stream, the extension fails loudly, and — because
@@ -180,10 +174,7 @@ class DeltaApssBackend:
                  shards_per_worker: int = 2,
                  partition_strategy: str = "striped",
                  executor_factory=None,
-                 use_shared_memory: bool = True,
-                 steal=None,
-                 pin_workers: bool = False,
-                 borrow_slabs: bool = True,
+                 steal: bool = True,
                  inject_shard_fault: int | None = None) -> None:
         if block_rows is not None and block_rows <= 0:
             raise ValueError("block_rows must be positive")
@@ -191,6 +182,7 @@ class DeltaApssBackend:
             raise ValueError("memory_budget_mb must be positive")
         if shards_per_worker < 1:
             raise ValueError("shards_per_worker must be at least 1")
+        from repro.similarity.backends.sharded import _check_steal
         from repro.similarity.partition import resolve_worker_count
 
         self.block_rows = block_rows
@@ -199,13 +191,7 @@ class DeltaApssBackend:
         self.shards_per_worker = int(shards_per_worker)
         self.partition_strategy = partition_strategy
         self.executor_factory = executor_factory
-        self.use_shared_memory = bool(use_shared_memory)
-        if steal not in (None, True, False, "bound"):
-            raise ValueError(f"steal must be None, True, False or 'bound', "
-                             f"got {steal!r}")
-        self.steal = steal
-        self.pin_workers = bool(pin_workers)
-        self.borrow_slabs = bool(borrow_slabs)
+        self.steal = _check_steal(steal)
         self.inject_shard_fault = inject_shard_fault
 
     def _sharded(self) -> bool:
@@ -224,9 +210,7 @@ class DeltaApssBackend:
             memory_budget_mb=self.memory_budget_mb,
             shards_per_worker=self.shards_per_worker,
             partition_strategy=self.partition_strategy,
-            executor_factory=self.executor_factory,
-            use_shared_memory=self.use_shared_memory,
-            steal=self.steal, pin_workers=self.pin_workers,
+            executor_factory=self.executor_factory, steal=self.steal,
             inject_shard_fault=self.inject_shard_fault)
 
     def extend(self, parent: EngineResult, child: VectorDataset,

@@ -11,22 +11,17 @@ Three things live here, shared by the parity, sharding and cache tests:
   versus tens of seconds through the corpus generator.
 
 * **`ShardOrderReplayExecutor`** — an in-process stand-in for a process pool
-  that *replays shard completions in adversarial orders*.  Futures are lazy:
-  nothing runs at ``submit``; when the backend blocks on a future's
+  that *replays task completions in adversarial orders*; sharded streams,
+  which submit one task per block, are its subject.  Futures are lazy:
+  nothing runs at ``submit``; when the stream blocks on a future's
   ``result()``, the executor runs the still-pending tasks in the configured
   order (LIFO by default, an explicit permutation, or a seeded shuffle) until
   that future is done.  The recorded ``completion_order`` proves tasks really
-  completed out of submission order, making shard-order merge bugs
-  deterministic instead of once-in-a-blue-moon scheduler accidents.
-
-* **Fault injection** — ``failures={submission_index: exception}`` makes the
-  replay executor complete chosen tasks with an exception instead of a
-  result, exercising the "a shard died mid-stream" path without real
-  processes (the real-process path is covered via the backend's
-  ``inject_shard_fault`` hook).
+  completed out of submission order, making block-order bugs deterministic
+  instead of once-in-a-blue-moon scheduler accidents.
 
 * **`StealOrderReplayExecutor`** — the work-stealing twin: a thread-backed
-  executor that injects itself as the ``claim_gate`` of every steal runner it
+  executor that injects itself as the ``claim_gate`` of every shard runner it
   runs and *fully serialises claims* — at any instant exactly one worker is
   between "granted a claim turn" and "parked waiting for the next one", so
   the interleaving of claims (and therefore who steals what from whom) is a
@@ -52,6 +47,7 @@ __all__ = [
     "sparse_random_dataset",
     "append_split",
     "own_shm_entries",
+    "force_pickle_fallback",
     "ShardOrderReplayExecutor",
     "replay_factory",
     "StealOrderReplayExecutor",
@@ -73,6 +69,22 @@ def own_shm_entries() -> list[str]:
         pattern = os.path.join("/dev/shm", shm.SEGMENT_PREFIX + "*")
         return sorted(os.path.basename(path) for path in glob.glob(pattern))
     return sorted(shm.active_segment_names())
+
+
+def force_pickle_fallback(monkeypatch) -> None:
+    """Take shared memory away: publishing returns ``None`` and ring
+    creation raises ``OSError``, as on a platform without ``/dev/shm`` or
+    with it full.  Sharded passes must then fall back to pickled payloads
+    and slabs.  *monkeypatch* is a pytest ``MonkeyPatch`` (the fixture or a
+    ``MonkeyPatch.context()``), which undoes both patches.
+    """
+    from repro.similarity import shm
+
+    def no_ring(*args, **kwargs):
+        raise OSError("no space on /dev/shm")
+
+    monkeypatch.setattr(shm, "publish_dataset", lambda *a, **k: None)
+    monkeypatch.setattr(shm, "SlabRing", no_ring)
 
 
 # --------------------------------------------------------------------- #
@@ -185,10 +197,6 @@ class ShardOrderReplayExecutor:
         sequence of submission indices (tasks listed earlier complete
         earlier; unlisted tasks fall back to FIFO), or ``("random", seed)``
         for a seeded shuffle.
-    failures:
-        Mapping ``{submission_index: exception}``; those tasks complete with
-        the exception instead of running.
-
     Attributes
     ----------
     completion_order:
@@ -196,10 +204,9 @@ class ShardOrderReplayExecutor:
         this to prove the replay really was out of order.
     """
 
-    def __init__(self, order="lifo", failures: dict | None = None) -> None:
+    def __init__(self, order="lifo") -> None:
         self._tasks: list[tuple[_LazyFuture, object, tuple, dict]] = []
         self.completion_order: list[int] = []
-        self.failures = dict(failures or {})
         self._rng = None
         if isinstance(order, tuple) and len(order) == 2 and order[0] == "random":
             self._rng = np.random.default_rng(order[1])
@@ -242,13 +249,10 @@ class ShardOrderReplayExecutor:
         future, fn, args, kwargs = self._tasks[index]
         if not future.set_running_or_notify_cancel():
             return  # cancelled counts as done; nothing to run
-        if index in self.failures:
-            future.set_exception(self.failures[index])
-        else:
-            try:
-                future.set_result(fn(*args, **kwargs))
-            except BaseException as exc:  # noqa: BLE001 - relayed via future
-                future.set_exception(exc)
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - relayed via future
+            future.set_exception(exc)
         self.completion_order.append(index)
 
     def _run_until(self, index: int) -> None:
@@ -256,8 +260,8 @@ class ShardOrderReplayExecutor:
             self._run_one(self._pick(self._pending()))
 
 
-def replay_factory(order="lifo", failures: dict | None = None):
-    """An ``executor_factory`` for the sharded backend, recording instances.
+def replay_factory(order="lifo"):
+    """An ``executor_factory`` for sharded streams, recording instances.
 
     The factory ignores the worker count (everything runs in-process) and
     exposes every executor it built on ``factory.created`` so tests can
@@ -266,7 +270,7 @@ def replay_factory(order="lifo", failures: dict | None = None):
     created: list[ShardOrderReplayExecutor] = []
 
     def factory(n_workers: int) -> ShardOrderReplayExecutor:
-        executor = ShardOrderReplayExecutor(order=order, failures=failures)
+        executor = ShardOrderReplayExecutor(order=order)
         created.append(executor)
         return executor
 
@@ -281,7 +285,7 @@ def replay_factory(order="lifo", failures: dict | None = None):
 class StealOrderReplayExecutor:
     """Thread-backed executor that serialises work-stealing claim turns.
 
-    The sharded backend submits one steal *runner* per worker slot, each with
+    The sharded backend submits one shard *runner* per worker slot, each with
     a ``claim_gate=None`` keyword.  This executor replaces that keyword with
     itself, so every runner calls back into ``acquire(worker_slot)`` before
     each claim attempt and ``claimed(worker_slot, item)`` after each

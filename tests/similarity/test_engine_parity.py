@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harness import sparse_random_dataset
+from harness import force_pickle_fallback, sparse_random_dataset
 from repro.datasets import VectorDataset, make_clustered_vectors, make_sparse_corpus
 from repro.similarity import (ApssEngine, available_backends,
                               get_backend_class, make_backend)
@@ -50,6 +50,11 @@ def _variant_params(exact: bool) -> list:
 
 EXACT_VARIANTS = _variant_params(exact=True)
 APPROX_VARIANTS = _variant_params(exact=False)
+#: The roster's multi-worker sharded variants: the ones whose dataset
+#: payload travels between processes, through shared memory or pickled.
+PICKLED_VARIANTS = [param for param in EXACT_VARIANTS
+                    if param.values[0] == "sharded-blocked"
+                    and param.values[1].get("n_workers", 1) > 1]
 
 #: Pair similarities this close to the threshold are allowed to land on
 #: either side (the test nudges thresholds away from them instead).
@@ -75,7 +80,7 @@ def _clear_threshold(dataset: VectorDataset, threshold: float,
 
 
 def _assert_exact_parity(dataset: VectorDataset, threshold: float,
-                         measure: str, backend: str, options: dict) -> None:
+                         measure: str, backend: str, options: dict):
     reference = ENGINE.search(dataset, threshold, measure, backend="exact-loop")
     result = ENGINE.search(dataset, threshold, measure, backend=backend,
                            **options)
@@ -86,6 +91,7 @@ def _assert_exact_parity(dataset: VectorDataset, threshold: float,
     expected = reference.similarities()
     for pair, similarity in result.similarities().items():
         assert similarity == pytest.approx(expected[pair], abs=1e-9)
+    return result
 
 
 def _exact_variants_for(measure: str):
@@ -112,25 +118,15 @@ def test_backends_are_apss_backend_instances():
 
 
 def test_parity_roster_covers_sharded_worker_counts():
-    """Registry introspection must produce the sharded worker-count,
-    scheduling and transport variants: 1/2/4 workers, the stealing x
-    borrowing grid, the bound (static-binding) scheduler, and a
-    shared-memory-off pass."""
+    """Registry introspection must produce the sharded worker-count and
+    scheduling variants: the in-process single runner, stealing and static
+    binding at 2 workers, and stealing at 4."""
     sharded = [options for param in EXACT_VARIANTS
                for name, options in [param.values] if name == "sharded-blocked"]
-    assert sorted({v.get("n_workers") for v in sharded}) == [1, 2, 4]
-    # The full stealing x borrowing grid is parity-checked at 2 workers.
-    grid = {(v["steal"], v["borrow_slabs"]) for v in sharded
-            if v.get("n_workers") == 2
-            and "steal" in v and "borrow_slabs" in v}
-    assert grid == {(False, False), (False, True), (True, False), (True, True)}
-    # Static binding ("bound"), both 4-worker schedulers, and the pickled
-    # transport under stealing each get a pass of their own.
-    assert any(v.get("steal") == "bound" for v in sharded)
-    assert {v.get("steal") for v in sharded
-            if v.get("n_workers") == 4} >= {False, True}
-    assert any(v.get("use_shared_memory") is False and v.get("steal") is True
-               for v in sharded)
+    assert sharded == [{"n_workers": 1},
+                       {"n_workers": 2, "steal": True},
+                       {"n_workers": 2, "steal": False},
+                       {"n_workers": 4, "steal": True}]
 
 
 def test_every_parity_variant_instantiates():
@@ -217,6 +213,22 @@ def test_exact_backends_match_reference_fixture_datasets(
     for dataset in (clustered_dataset, sparse_corpus):
         threshold = _clear_threshold(dataset, threshold, measure)
         _assert_exact_parity(dataset, threshold, measure, backend, options)
+
+
+@pytest.mark.parametrize("backend,options", PICKLED_VARIANTS)
+@pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 0.9])
+def test_sharded_pickle_fallback_matches_reference_fixture_datasets(
+        clustered_dataset, sparse_corpus, measure, threshold, backend, options,
+        monkeypatch):
+    """Without shared memory every multi-worker scheduler falls back to
+    pickled payloads and must still match the reference exactly."""
+    force_pickle_fallback(monkeypatch)
+    for dataset in (clustered_dataset, sparse_corpus):
+        threshold = _clear_threshold(dataset, threshold, measure)
+        result = _assert_exact_parity(dataset, threshold, measure, backend,
+                                      options)
+        assert result.details["shared_memory"] is False
 
 
 def test_blocked_backend_parity_across_block_sizes():

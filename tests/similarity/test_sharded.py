@@ -4,11 +4,13 @@ Three layers, mirroring how the backend can fail:
 
 * **Planning** — the partition module must cover every block exactly once,
   for every strategy, for any geometry.
-* **Scheduling** — via the harness's ``ShardOrderReplayExecutor``, shard
-  completions are replayed in adversarial (LIFO, shuffled, explicitly
-  permuted) orders and injected failures, deterministically: merged output
+* **Scheduling** — via the harness's ``StealOrderReplayExecutor``, shard
+  claims are forced into adversarial (LIFO, shuffled, explicitly scripted)
+  interleavings and injected failures, deterministically: merged output
   must be canonical and identical, and a failing shard must surface as
-  ``ShardExecutionError`` — never a hang, never dropped pairs.
+  ``ShardExecutionError`` — never a hang, never dropped pairs.  Streams,
+  which submit one task per block, replay block completions through the
+  ``ShardOrderReplayExecutor`` instead.
 * **Real processes** — the same contracts through an actual
   ``ProcessPoolExecutor``, including the worker-side fault-injection hook
   (``inject_shard_fault``) crossing a genuine pickle/process boundary.
@@ -24,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from harness import (ShardOrderReplayExecutor, replay_factory, seeded_corpus,
-                     sparse_random_dataset)
+from harness import (replay_factory, seeded_corpus, sparse_random_dataset,
+                     steal_replay_factory)
 from repro.similarity import (ApssEngine, BlockShard, CachedApssEngine,
                               InlineShardExecutor, ShardExecutionError,
                               iter_similarity_blocks,
@@ -109,33 +111,37 @@ def test_backend_constructor_validation():
 # Canonical merge under adversarial completion orders
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("order", ["lifo", ("random", 7), [3, 1, 0, 2],
-                                   [5, 4, 3, 2, 1, 0]])
-def test_adversarial_shard_completion_orders_merge_canonically(
+@pytest.mark.parametrize("order", ["lifo", ("random", 7), [1, 1, 0, 1],
+                                   [1, 1, 1, 1, 1, 0]])
+def test_adversarial_shard_claim_orders_merge_canonically(
         dataset, reference, order):
-    factory = replay_factory(order=order)
-    # steal=False keeps the legacy one-task-per-shard fan-out this replay
-    # harness drives (the stealing path has its own in test_stealing.py).
+    factory = steal_replay_factory(order=order)
     result = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
                            n_workers=2, shards_per_worker=3, block_rows=5,
-                           steal=False, executor_factory=factory)
+                           executor_factory=factory)
     executor = factory.created[0]
-    assert executor.submitted > 1
-    # The replay really completed shards out of submission order...
-    assert executor.completion_order != sorted(executor.completion_order)
-    assert sorted(executor.completion_order) == list(range(executor.submitted))
+    claimed = [item for _, item in executor.claim_order]
+    # The replay really ran shards out of plan order...
+    assert claimed != sorted(claimed)
+    assert sorted(claimed) == list(range(result.details["n_shards"]))
     # ...yet the merged pair list is byte-identical to the single-process one.
     assert [p.as_tuple() for p in result.pairs] == \
         [p.as_tuple() for p in reference.pairs]
 
 
-def test_completion_order_does_not_leak_into_pair_order(dataset):
+def test_claim_order_does_not_leak_into_pair_order(dataset):
+    lifo_factory = steal_replay_factory("lifo")
+    fifo_factory = steal_replay_factory("fifo")
     lifo = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
-                         n_workers=4, block_rows=3, steal=False,
-                         executor_factory=replay_factory("lifo"))
+                         n_workers=4, block_rows=3,
+                         executor_factory=lifo_factory)
     fifo = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
-                         n_workers=4, block_rows=3, steal=False,
-                         executor_factory=replay_factory("fifo"))
+                         n_workers=4, block_rows=3,
+                         executor_factory=fifo_factory)
+    # Different runners ran different shards, so the runners' chunks reach
+    # the merge in different orders...
+    assert lifo_factory.created[0].claims != fifo_factory.created[0].claims
+    # ...and the merged pair lists still cannot tell.
     assert [p.as_tuple() for p in lifo.pairs] == [p.as_tuple() for p in fifo.pairs]
     firsts = [(p.first, p.second) for p in lifo.pairs]
     assert firsts == sorted(firsts)
@@ -166,24 +172,29 @@ def test_inline_executor_protocol():
 # --------------------------------------------------------------------- #
 
 def test_replayed_shard_failure_surfaces(dataset):
-    factory = replay_factory(order="lifo",
-                             failures={2: RuntimeError("disk on fire")})
+    factory = steal_replay_factory(order="lifo",
+                                   failures={2: RuntimeError("disk on fire")})
     with pytest.raises(ShardExecutionError, match="shard 2 failed"):
         ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
                       n_workers=2, shards_per_worker=2, block_rows=5,
-                      steal=False, executor_factory=factory)
+                      executor_factory=factory)
 
 
-def test_replayed_failure_in_last_completing_shard_surfaces(dataset):
-    # FIFO replay + failure in the final shard: every other shard already
-    # delivered pairs, which must all be discarded in favour of the error.
-    factory = replay_factory(order="fifo",
-                             failures={3: RuntimeError("late casualty")})
+def test_replayed_failure_in_last_claimed_shard_surfaces(dataset):
+    # FIFO replay + failure in the shard claimed last: every other shard
+    # already delivered pairs, which must all be discarded for the error.
+    options = dict(backend="sharded-blocked", n_workers=2,
+                   shards_per_worker=2, block_rows=5)
+    dry_run = steal_replay_factory(order="fifo")
+    ENGINE.search(dataset, 0.25, "cosine", executor_factory=dry_run, **options)
+    last = dry_run.created[0].claim_order[-1][1]
+    factory = steal_replay_factory(
+        order="fifo", failures={last: RuntimeError("late casualty")})
     with pytest.raises(ShardExecutionError) as excinfo:
-        ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
-                      n_workers=2, shards_per_worker=2, block_rows=5,
-                      steal=False, executor_factory=factory)
-    assert excinfo.value.shard_id == 3
+        ENGINE.search(dataset, 0.25, "cosine", executor_factory=factory,
+                      **options)
+    assert factory.created[0].claim_order == dry_run.created[0].claim_order
+    assert excinfo.value.shard_id == last
     assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
@@ -228,7 +239,7 @@ def test_broken_shared_pool_is_evicted_and_rebuilt(dataset, reference):
 
     ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
                   n_workers=2, block_rows=5)
-    pool = sharded_module._POOLS[(2, False, 1.0)]
+    pool = sharded_module._POOLS[(2, 1.0)]
     for process in pool._processes.values():
         process.kill()
     for process in pool._processes.values():
@@ -245,7 +256,7 @@ def test_broken_shared_pool_is_evicted_and_rebuilt(dataset, reference):
                                backend="sharded-blocked", n_workers=2,
                                block_rows=5)
     assert result.pair_set() == reference.pair_set()
-    assert sharded_module._POOLS[(2, False, 1.0)] is not pool
+    assert sharded_module._POOLS[(2, 1.0)] is not pool
 
 
 def test_inject_shard_fault_is_cache_keyed_not_swallowed(dataset):

@@ -2,10 +2,10 @@
 
 Two contracts under test:
 
-* **Transparency** — the transport is purely an execution choice: searches,
+* **Transparency** — the transport is invisible in results: searches,
   streams and delta passes produce byte-identical results whether payloads
-  travel through shared memory, through pickles (``use_shared_memory=False``)
-  or through the automatic fallback when segment creation fails.
+  travel through shared memory or through pickles, the automatic fallback
+  when publishing a dataset or creating a slab ring fails.
 
 * **Reclamation** — no segment outlives its lifecycle: published datasets
   are LRU-capped, rings die with their stream (even when a block faults
@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from harness import own_shm_entries, replay_factory, seeded_corpus
+from harness import (force_pickle_fallback, own_shm_entries, replay_factory,
+                     seeded_corpus)
 from repro.similarity import ApssEngine, reset_shared_pools
 from repro.similarity import shm
 from repro.similarity.backends.sharded import (ShardExecutionError,
@@ -134,7 +135,7 @@ def test_closed_ring_fails_loudly_not_with_zero_division(clean_transport):
     with pytest.raises(RuntimeError, match="ring is closed"):
         ring.slot_name(0)
     with pytest.raises(RuntimeError, match="ring is closed"):
-        ring.read(0, (1, 1))
+        ring.borrow(0, (1, 1))
 
 
 def test_slab_ring_roundtrip_and_slot_reuse(clean_transport):
@@ -143,10 +144,12 @@ def test_slab_ring_roundtrip_and_slot_reuse(clean_transport):
         first = np.arange(20, dtype=np.float64).reshape(4, 5)
         second = -first
         assert shm.write_slab(ring.slot_name(0), first) == (4, 5)
-        assert np.array_equal(ring.read(0, (4, 5)), first)
+        assert np.array_equal(ring.borrow(0, (4, 5)), first)
+        ring.release(0)
         # Slot 0 and slot 2 alias (ring of 2): reuse after consumption.
         assert shm.write_slab(ring.slot_name(2), second) == (4, 5)
-        assert np.array_equal(ring.read(2, (4, 5)), second)
+        assert np.array_equal(ring.borrow(2, (4, 5)), second)
+        ring.release(2)
     finally:
         ring.close()
     assert own_shm_entries() == []
@@ -156,13 +159,15 @@ def test_slab_ring_roundtrip_and_slot_reuse(clean_transport):
 # The transport is invisible in results
 # --------------------------------------------------------------------- #
 
-def test_search_parity_across_transports(clean_transport, dataset):
+def test_search_parity_across_transports(clean_transport, dataset,
+                                         monkeypatch):
     reference = ENGINE.search(dataset, 0.25, "cosine", backend="exact-blocked")
     via_shm = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
                             n_workers=2, block_rows=6)
+    force_pickle_fallback(monkeypatch)
     via_pickle = ENGINE.search(dataset, 0.25, "cosine",
                                backend="sharded-blocked", n_workers=2,
-                               block_rows=6, use_shared_memory=False)
+                               block_rows=6)
     assert via_shm.details["shared_memory"] is True
     assert via_pickle.details["shared_memory"] is False
     expected = [p.as_tuple() for p in reference.pairs]
@@ -185,19 +190,6 @@ def test_streamed_slabs_through_the_ring_are_identical(clean_transport, dataset)
     # The ring itself is gone the moment the stream is exhausted; only the
     # published dataset segments remain (until pool evict / release).
     assert len(own_shm_entries()) == 3
-
-
-def test_streamed_slabs_with_borrowing_disabled_are_owned_copies(
-        clean_transport, dataset):
-    """``borrow_slabs=False`` is the untrusted-consumer fallback: yielded
-    slabs are owned, writable copies that stay valid after the stream."""
-    plain = list(iter_similarity_blocks(dataset, "cosine", block_rows=7))
-    kept = list(iter_similarity_blocks_sharded(
-        dataset, "cosine", block_rows=7, n_workers=2, borrow_slabs=False))
-    assert all(slab.flags.writeable for _, slab in kept)
-    assert [r for r, _ in kept] == [r for r, _ in plain]
-    for (_, expected), (_, got) in zip(plain, kept):
-        assert np.array_equal(expected, got)  # retained past stream end
 
 
 def test_adversarial_completion_orders_through_shared_memory(
@@ -225,6 +217,30 @@ def test_fallback_when_publishing_fails(clean_transport, dataset, monkeypatch):
     reference = ENGINE.search(dataset, 0.25, "cosine", backend="exact-blocked")
     assert [p.as_tuple() for p in result.pairs] == \
         [p.as_tuple() for p in reference.pairs]
+    assert own_shm_entries() == []
+
+
+@pytest.mark.parametrize("n_workers", [2, 4])
+def test_pickle_fallback_search_and_stream_match_exact_blocked(
+        clean_transport, dataset, monkeypatch, n_workers):
+    """With no shared memory at all — publishing returns ``None`` and ring
+    creation raises — multi-worker searches and streams fall back to pickled
+    payloads and slabs, bit-identical to ``exact-blocked``, and leave no
+    segment or claim directory behind."""
+    force_pickle_fallback(monkeypatch)
+    reference = ENGINE.search(dataset, 0.25, "cosine", backend="exact-blocked")
+    result = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
+                           n_workers=n_workers, block_rows=6)
+    assert result.details["shared_memory"] is False
+    assert [p.as_tuple() for p in result.pairs] == \
+        [p.as_tuple() for p in reference.pairs]
+    assert own_shm_entries() == []  # no segments, no claim directory
+    plain = list(iter_similarity_blocks(dataset, "cosine", block_rows=7))
+    streamed = list(iter_similarity_blocks_sharded(
+        dataset, "cosine", block_rows=7, n_workers=n_workers))
+    assert [r for r, _ in streamed] == [r for r, _ in plain]
+    for (_, expected), (_, got) in zip(plain, streamed):
+        assert np.array_equal(expected, got)
     assert own_shm_entries() == []
 
 
@@ -263,7 +279,7 @@ def test_borrowed_slot_is_never_recycled_while_borrowed(clean_transport):
         ring.release(0)
         assert not ring.is_borrowed(0)
         shm.write_slab(ring.slot_name(2), -first)  # recycled after release
-        assert np.array_equal(ring.read(2, (4, 5)), -first)
+        assert np.array_equal(ring.borrow(2, (4, 5)), -first)
     finally:
         ring.close()
     assert own_shm_entries() == []

@@ -12,7 +12,7 @@ Three layers, mirroring how stealing can fail:
   virtual time, and claim-time faults injected — with bit-identical parity
   against the single-process sweep required throughout.
 * **Real processes** — the same contracts through an actual
-  ``ProcessPoolExecutor``: steal/bound/static parity, the claims audit in
+  ``ProcessPoolExecutor``: stealing/static-binding parity, the claims audit in
   ``details``, fault injection crossing the pickle boundary, the delta
   (ingest) path, the ``REPRO_APSS_STRAGGLER`` slowdown hook, and the
   ``/dev/shm`` leak oracle extended over claim directories.
@@ -34,6 +34,7 @@ from repro.similarity import (ApssEngine, HistogramReducer, ShardExecutionError,
 from repro.similarity.backends.sharded import (InjectedShardFault,
                                                reset_shared_pools,
                                                run_delta_shards)
+from repro.store.delta import DeltaApssBackend
 
 ENGINE = ApssEngine()
 
@@ -265,24 +266,45 @@ def test_steal_parity_and_claims_audit_over_real_processes(dataset, reference):
     assert sum(claims.values()) == result.details["n_shards"]
 
 
-def test_bound_mode_claims_exactly_the_stripes(dataset, reference):
+@pytest.mark.parametrize("n_workers", [2, 3, 4])
+def test_static_binding_claims_exactly_the_stripes(dataset, reference,
+                                                    n_workers):
     result = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
-                           n_workers=2, shards_per_worker=3, block_rows=8,
-                           steal="bound")
+                           n_workers=n_workers, shards_per_worker=3,
+                           block_rows=4, steal=False)
     assert pair_tuples(result) == pair_tuples(reference)
     assert result.details["steal"] == "bound"
     n_shards = result.details["n_shards"]
     stripes = {slot: len([s for s in range(n_shards)
-                          if shard_owner(s, 2) == slot]) for slot in (0, 1)}
+                          if shard_owner(s, n_workers) == slot])
+               for slot in range(n_workers)}
     assert result.details["claims"] == stripes
 
 
-def test_static_fanout_reports_no_claims(dataset, reference):
+def test_single_worker_search_claims_every_shard(dataset, reference):
+    # One worker runs one in-process runner that claims the whole plan.
     result = ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
-                           n_workers=2, block_rows=8, steal=False)
+                           n_workers=1, block_rows=8)
     assert pair_tuples(result) == pair_tuples(reference)
-    assert result.details["steal"] == "static"
-    assert result.details["claims"] is None
+    assert result.details["n_shards"] > 1
+    assert result.details["claims"] == {0: result.details["n_shards"]}
+
+
+@pytest.mark.parametrize("entry", ["search", "delta-shards", "delta-backend"])
+@pytest.mark.parametrize("steal", [None, "bound", "steal", 1])
+def test_steal_accepts_only_a_bool(dataset, steal, entry):
+    # The retired values (None, "bound"), the details label and a truthy
+    # int are all refused at every entry point, not silently coerced.
+    parent, child = append_split(dataset, 9)
+    with pytest.raises(ValueError, match="steal must be True"):
+        if entry == "search":
+            ENGINE.search(dataset, 0.25, "cosine", backend="sharded-blocked",
+                          n_workers=2, steal=steal)
+        elif entry == "delta-shards":
+            run_delta_shards(child, child.parent_delta, 0.25, "cosine",
+                             n_workers=2, steal=steal)
+        else:
+            DeltaApssBackend(n_workers=2, steal=steal)
 
 
 def test_injected_fault_crosses_the_steal_process_boundary(dataset):
@@ -301,15 +323,16 @@ def test_steal_search_leaks_no_shm_segments(dataset):
     assert own_shm_entries() == before
 
 
-def test_delta_steal_modes_agree_pairs_and_folded_reducers(dataset):
+@pytest.mark.parametrize("n_workers", [2, 4])
+def test_delta_scheduling_agrees_pairs_and_folded_reducers(dataset, n_workers):
     parent, child = append_split(dataset, 9)
     delta = child.parent_delta
     specs = {"histogram": [0.0, 0.25, 0.5, 0.75, 1.0], "top_k": 7}
 
     def run(**kwargs):
         return run_delta_shards(child, delta, 0.25, "cosine",
-                                reducer_specs=specs, n_workers=2,
-                                shards_per_worker=3, **kwargs)
+                                reducer_specs=specs, shards_per_worker=3,
+                                **kwargs)
 
     def fold(states):
         histogram = HistogramReducer(specs["histogram"])
@@ -321,15 +344,17 @@ def test_delta_steal_modes_agree_pairs_and_folded_reducers(dataset):
         return (histogram.counts.tolist(),
                 [p.as_tuple() for p in top.pairs()])
 
-    results = {mode: run(steal=mode) for mode in (None, True, "bound", False)}
-    reference_pairs = [p.as_tuple() for p in results[None][0]]
-    reference_fold = fold(results[None][1])
+    # The in-process single runner is the reference for both disciplines.
+    reference_pairs, reference_states = run(n_workers=1)
+    reference_pairs = [p.as_tuple() for p in reference_pairs]
+    reference_fold = fold(reference_states)
     assert reference_pairs, "delta split must produce pairs to compare"
-    for mode, (pairs, states) in results.items():
-        assert [p.as_tuple() for p in pairs] == reference_pairs, mode
+    for steal in (True, False):
+        pairs, states = run(n_workers=n_workers, steal=steal)
+        assert [p.as_tuple() for p in pairs] == reference_pairs, steal
         # Shard counts (hence state-list lengths) legitimately differ per
-        # mode; the *folded* reducer values may not.
-        assert fold(states) == reference_fold, mode
+        # worker count; the *folded* reducer values may not.
+        assert fold(states) == reference_fold, steal
 
 
 def test_straggler_env_slowdown_keeps_parity(dataset, reference, monkeypatch):
@@ -345,18 +370,4 @@ def test_straggler_env_slowdown_keeps_parity(dataset, reference, monkeypatch):
             result.details["n_shards"]
     finally:
         monkeypatch.delenv(sharded.STRAGGLER_ENV_VAR)
-        reset_shared_pools()
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="needs sched_setaffinity")
-def test_pinned_workers_keep_parity(dataset, reference):
-    reset_shared_pools()
-    try:
-        result = ENGINE.search(dataset, 0.25, "cosine",
-                               backend="sharded-blocked", n_workers=2,
-                               shards_per_worker=3, block_rows=8,
-                               steal=True, pin_workers=True)
-        assert pair_tuples(result) == pair_tuples(reference)
-    finally:
         reset_shared_pools()

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from harness import append_split, seeded_clustered, seeded_corpus
+from harness import (append_split, force_pickle_fallback, seeded_clustered,
+                     seeded_corpus)
 from repro.similarity import (
     ApssEngine,
     HistogramReducer,
@@ -27,6 +28,7 @@ from repro.similarity import (
     TopKReducer,
     available_backends,
     get_backend_class,
+    shm,
     top_k_pairs,
 )
 from repro.similarity.backends.sharded import ShardedBlockedBackend
@@ -258,24 +260,53 @@ def test_sharded_delta_ingest_matches_single_process_extend(
         single.details["delta"]["new_pairs"]
 
 
+@pytest.mark.parametrize("variant", [
+    param for param in SHARDED_VARIANTS if param.values[0]["n_workers"] > 1])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 30),
+       measure=st.sampled_from(["cosine", "jaccard", "dot"]),
+       threshold=st.floats(0.05, 0.9),
+       k=st.integers(1, 10))
+def test_sharded_delta_ingest_under_pickle_fallback_matches_extend(
+        variant, seed, measure, threshold, k):
+    """Without shared memory the multi-worker ingest pass ships the child
+    dataset pickled; the merged floor must not notice."""
+    dataset = seeded_clustered(seed, n_rows=26, n_features=8)
+    parent, child = append_split(dataset, k)
+    base = ENGINE.search(parent, threshold, measure)
+
+    single = DeltaApssBackend().extend(base, child)
+    publishes = []
+    with pytest.MonkeyPatch.context() as patch:
+        force_pickle_fallback(patch)
+        patch.setattr(shm, "publish_dataset",
+                      lambda *args, **kwargs: publishes.append(args) or None)
+        sharded = DeltaApssBackend(block_rows=3, **variant).extend(base, child)
+
+    assert publishes, "the multi-worker pass never tried shared memory"
+
+    assert [p.as_tuple() for p in sharded.pairs] == \
+        [p.as_tuple() for p in single.pairs], \
+        f"pickled ingest diverged on {dataset.name} with {variant}"
+
+
 def test_sharded_ingest_under_adversarial_shard_orders():
-    """Replayed out-of-order shard completions cannot perturb the merged
-    floor or the merged reducer state."""
-    from harness import replay_factory
+    """Replayed out-of-order shard claims cannot perturb the merged floor."""
+    from harness import steal_replay_factory
 
     dataset = seeded_clustered(31, n_rows=40)
     parent, child = append_split(dataset, 12)
     base = ENGINE.search(parent, 0.2)
     expected = DeltaApssBackend().extend(base, child)
 
-    for order in ("lifo", ("random", 5), [3, 0, 2, 1]):
-        factory = replay_factory(order=order)
+    for order in ("lifo", ("random", 5), [1, 1, 0, 1]):
+        factory = steal_replay_factory(order=order)
         got = DeltaApssBackend(block_rows=2, n_workers=2,
                                executor_factory=factory).extend(base, child)
-        executor = factory.created[0]
-        assert executor.submitted > 1
-        assert sorted(executor.completion_order) == \
-            list(range(executor.submitted))
+        claimed = [item for _, item in factory.created[0].claim_order]
+        assert len(claimed) > 1
+        assert claimed != sorted(claimed)
+        assert sorted(claimed) == list(range(len(claimed)))
         assert [p.as_tuple() for p in got.pairs] == \
             [p.as_tuple() for p in expected.pairs]
 
